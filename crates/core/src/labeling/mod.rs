@@ -23,7 +23,7 @@
 use anet_graph::{Network, NodeId};
 use anet_num::bits;
 use anet_num::partition::canonical_partition_nonempty;
-use anet_num::IntervalUnion;
+use anet_num::{Dyadic, IntervalUnion};
 use anet_sim::engine::{run, ExecutionConfig, RunResult};
 use anet_sim::metrics::RunMetrics;
 use anet_sim::scheduler::Scheduler;
@@ -371,27 +371,36 @@ fn report_from_run<M>(
 
 /// Theorem 5.1's correctness condition on a finished assignment: every vertex
 /// except the root holds a non-empty label, and the labels are pairwise
-/// disjoint (hence unique). `labels` is indexed by node id.
+/// disjoint (hence unique). `labels` is indexed by node id; the root's entry
+/// is ignored.
 ///
 /// This is the labelling protocol's success predicate — the sweep's `ok`
 /// column and [`LabelingReport::labels_unique`] are both this function.
+///
+/// Runs in O(P log P) for P intervals over all labels: the labels' maximal
+/// intervals are sorted by lower endpoint, and the labels are pairwise
+/// disjoint exactly when each interval ends at or before the next one starts
+/// (half-open intervals, so `[a, b)` and `[b, c)` are disjoint). Intervals of
+/// one label never trip the check — a canonical union's intervals are
+/// strictly separated — so any overlap found lies between two labels.
 pub fn labels_unique(network: &Network, labels: &[IntervalUnion]) -> bool {
-    let participants: Vec<NodeId> = network
-        .graph()
-        .nodes()
-        .filter(|&n| n != network.root())
-        .collect();
-    for (i, &a) in participants.iter().enumerate() {
-        if labels[a.index()].is_empty() {
+    labels_unique_by(network, |v| &labels[v])
+}
+
+/// [`labels_unique`] over any node-indexed label accessor, so callers holding
+/// labels inside protocol states need not collect them first.
+fn labels_unique_by<'a>(network: &Network, label: impl Fn(usize) -> &'a IntervalUnion) -> bool {
+    let root = network.root().index();
+    let mut intervals: Vec<(&Dyadic, &Dyadic)> = Vec::with_capacity(network.node_count());
+    for v in (0..network.node_count()).filter(|&v| v != root) {
+        let endpoints = label(v).endpoints();
+        if endpoints.is_empty() {
             return false;
         }
-        for &b in &participants[i + 1..] {
-            if labels[a.index()].intersects(&labels[b.index()]) {
-                return false;
-            }
-        }
+        intervals.extend(endpoints.chunks_exact(2).map(|pair| (&pair[0], &pair[1])));
     }
-    true
+    intervals.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    intervals.windows(2).all(|w| w[0].1 <= w[1].0)
 }
 
 /// Applies a [`StateCorruption`](crate::corruption::StateCorruption) to
@@ -454,8 +463,7 @@ pub fn corrupt_labeling_states(
 /// correct unique assignment ([`labels_unique`]). Corrupted-start runs ask it
 /// of a protocol that began from damaged state.
 pub fn labeling_recovered(network: &Network, states: &[LabelingState]) -> bool {
-    let labels: Vec<IntervalUnion> = states.iter().map(|s| s.label.clone()).collect();
-    labels_unique(network, &labels)
+    labels_unique_by(network, |v| &states[v].label)
 }
 
 #[cfg(test)]
@@ -465,6 +473,7 @@ mod tests {
         chain_gn, complete_dag, cycle_with_tail, diamond_stack, full_grounded_tree, nested_cycles,
         pruned_tree, random_cyclic, random_dag, star_network, with_stranded_vertex,
     };
+    use anet_num::Interval;
     use anet_sim::runner::run_under_battery;
     use anet_sim::scheduler::FifoScheduler;
     use rand::rngs::StdRng;
@@ -607,5 +616,126 @@ mod tests {
         assert!(unit > 0);
         let report = run_labeling(&chain_gn(4).unwrap(), &mut fifo()).unwrap();
         assert!(report.max_label_bits >= unit / 2);
+    }
+
+    /// The pairwise definition [`labels_unique`] must agree with: every
+    /// non-root label is non-empty and no two of them intersect.
+    fn pairwise_unique(network: &Network, labels: &[IntervalUnion]) -> bool {
+        let others: Vec<usize> = (0..network.node_count())
+            .filter(|&v| v != network.root().index())
+            .collect();
+        others.iter().enumerate().all(|(i, &a)| {
+            !labels[a].is_empty()
+                && others[i + 1..]
+                    .iter()
+                    .all(|&b| !labels[a].intersects(&labels[b]))
+        })
+    }
+
+    /// A union of the eighths `[lo/8, hi/8)` given as `(lo, hi)` pairs.
+    fn eighths(parts: &[(u64, u64)]) -> IntervalUnion {
+        IntervalUnion::from_intervals(
+            parts
+                .iter()
+                .map(|&(lo, hi)| Interval::from_dyadic_parts(lo, hi, 3).unwrap()),
+        )
+    }
+
+    /// Puts `labels` on the non-root vertices of a path (in node order), gives
+    /// the root `root_label`, and checks [`labels_unique`] against the
+    /// pairwise definition before returning its verdict.
+    fn verdict(root_label: IntervalUnion, labels: &[IntervalUnion]) -> bool {
+        let network = anet_graph::generators::path_network(labels.len() - 1).unwrap();
+        let root = network.root().index();
+        let mut all = labels.to_vec();
+        all.insert(root, root_label);
+        let got = labels_unique(&network, &all);
+        assert_eq!(got, pairwise_unique(&network, &all), "labels {all:?}");
+        got
+    }
+
+    #[test]
+    fn labels_unique_edge_cases_agree_with_the_pairwise_definition() {
+        let none = IntervalUnion::empty();
+        // Touching half-open intervals share no point.
+        assert!(verdict(
+            none.clone(),
+            &[eighths(&[(0, 2)]), eighths(&[(2, 5)])]
+        ));
+        // A shared interior point is an overlap.
+        assert!(!verdict(
+            none.clone(),
+            &[eighths(&[(0, 3)]), eighths(&[(2, 5)])]
+        ));
+        // Containment is an overlap.
+        assert!(!verdict(
+            none.clone(),
+            &[eighths(&[(0, 8)]), eighths(&[(2, 3)])]
+        ));
+        // An empty non-root label fails even when the others are disjoint.
+        assert!(!verdict(
+            none.clone(),
+            &[
+                eighths(&[(0, 1)]),
+                IntervalUnion::empty(),
+                eighths(&[(1, 2)])
+            ]
+        ));
+        // The root's label is ignored: empty or overlapping, it never counts.
+        assert!(verdict(
+            IntervalUnion::unit(),
+            &[eighths(&[(0, 1)]), eighths(&[(1, 2)])]
+        ));
+        // Multi-part labels interleaving across vertices.
+        assert!(verdict(
+            none.clone(),
+            &[
+                eighths(&[(0, 1), (2, 3), (6, 7)]),
+                eighths(&[(1, 2), (3, 4)]),
+                eighths(&[(4, 6), (7, 8)]),
+            ]
+        ));
+        assert!(!verdict(
+            none.clone(),
+            &[
+                eighths(&[(0, 1), (2, 3), (6, 7)]),
+                eighths(&[(1, 2), (3, 4)]),
+                eighths(&[(4, 6), (6, 8)]),
+            ]
+        ));
+        // One label on two vertices, whether shared or equal copies.
+        let label = eighths(&[(1, 2), (5, 6)]);
+        assert!(!verdict(
+            none.clone(),
+            &[label.clone(), eighths(&[(0, 1)]), label.clone()]
+        ));
+        assert!(!verdict(none, &[label.deep_clone(), label]));
+    }
+
+    #[test]
+    fn labels_unique_agrees_with_the_pairwise_definition_on_random_labels() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(378);
+        let mut verdicts = [0usize; 2];
+        for _ in 0..500 {
+            let vertices = rng.gen_range(2usize..7);
+            let labels: Vec<IntervalUnion> = (0..vertices)
+                .map(|_| {
+                    let parts: Vec<(u64, u64)> = (0..rng.gen_range(0usize..3))
+                        .map(|_| {
+                            let lo = rng.gen_range(0u64..16);
+                            (lo, lo + rng.gen_range(1u64..4))
+                        })
+                        .collect();
+                    IntervalUnion::from_intervals(
+                        parts
+                            .iter()
+                            .map(|&(lo, hi)| Interval::from_dyadic_parts(lo, hi, 5).unwrap()),
+                    )
+                })
+                .collect();
+            verdicts[verdict(IntervalUnion::empty(), &labels) as usize] += 1;
+        }
+        assert!(verdicts.iter().all(|&k| k > 0), "verdicts {verdicts:?}");
     }
 }

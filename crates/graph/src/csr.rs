@@ -137,6 +137,19 @@ impl Csr {
             [self.in_offsets[v as usize] as usize..self.in_offsets[v as usize + 1] as usize]
     }
 
+    /// Position range of `v`'s out-edges in the flat edge order: a slot array
+    /// of length `edge_count()` indexed by this range holds one value per
+    /// out-port of `v`.
+    pub(crate) fn out_range(&self, v: u32) -> std::ops::Range<usize> {
+        self.out_offsets[v as usize] as usize..self.out_offsets[v as usize + 1] as usize
+    }
+
+    /// Position range of `v`'s in-edges in the flat edge order (see
+    /// [`Csr::out_range`]).
+    pub(crate) fn in_range(&self, v: u32) -> std::ops::Range<usize> {
+        self.in_offsets[v as usize] as usize..self.in_offsets[v as usize + 1] as usize
+    }
+
     /// Source node of edge `e`.
     pub fn edge_src(&self, e: u32) -> u32 {
         self.edge_src[e as usize]

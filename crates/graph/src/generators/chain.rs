@@ -1,5 +1,6 @@
 //! The chain family `G_n` of Figure 5 and plain paths.
 
+use super::counted;
 use crate::{DiGraph, Network, NetworkError};
 
 /// Builds the paper's lower-bound family `G_n` (Figure 5): internal vertices
@@ -14,12 +15,7 @@ use crate::{DiGraph, Network, NetworkError};
 ///
 /// Returns [`NetworkError::InvalidParameter`] when `n == 0`.
 pub fn chain_gn(n: usize) -> Result<Network, NetworkError> {
-    if n == 0 {
-        return Err(NetworkError::InvalidParameter(
-            "chain_gn needs at least one internal vertex".to_owned(),
-        ));
-    }
-    let mut g = DiGraph::with_capacity(n + 2);
+    let mut g = DiGraph::with_capacity(chain_gn_node_count(n)?);
     let s = g.add_node();
     let vs = g.add_nodes(n);
     let t = g.add_node();
@@ -33,6 +29,20 @@ pub fn chain_gn(n: usize) -> Result<Network, NetworkError> {
     Network::new(g, s, t)
 }
 
+/// The vertex count of [`chain_gn`]`(n)`, computed without building it.
+///
+/// # Errors
+///
+/// Returns the error [`chain_gn`] returns for these parameters.
+pub fn chain_gn_node_count(n: usize) -> Result<usize, NetworkError> {
+    if n == 0 {
+        return Err(NetworkError::InvalidParameter(
+            "chain_gn needs at least one internal vertex".to_owned(),
+        ));
+    }
+    counted(n.checked_add(2))
+}
+
 /// Builds a simple path `s → v_1 → … → v_n → t`: the smallest grounded tree with
 /// `n` internal vertices, where every commodity is forwarded unchanged.
 ///
@@ -40,12 +50,7 @@ pub fn chain_gn(n: usize) -> Result<Network, NetworkError> {
 ///
 /// Returns [`NetworkError::InvalidParameter`] when `n == 0`.
 pub fn path_network(n: usize) -> Result<Network, NetworkError> {
-    if n == 0 {
-        return Err(NetworkError::InvalidParameter(
-            "path_network needs at least one internal vertex".to_owned(),
-        ));
-    }
-    let mut g = DiGraph::with_capacity(n + 2);
+    let mut g = DiGraph::with_capacity(path_network_node_count(n)?);
     let s = g.add_node();
     let vs = g.add_nodes(n);
     let t = g.add_node();
@@ -55,6 +60,20 @@ pub fn path_network(n: usize) -> Result<Network, NetworkError> {
     }
     g.add_edge(vs[n - 1], t);
     Network::new(g, s, t)
+}
+
+/// The vertex count of [`path_network`]`(n)`, computed without building it.
+///
+/// # Errors
+///
+/// Returns the error [`path_network`] returns for these parameters.
+pub fn path_network_node_count(n: usize) -> Result<usize, NetworkError> {
+    if n == 0 {
+        return Err(NetworkError::InvalidParameter(
+            "path_network needs at least one internal vertex".to_owned(),
+        ));
+    }
+    counted(n.checked_add(2))
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 
 use rand::Rng;
 
+use super::{counted, probability};
 use crate::{DiGraph, Network, NetworkError, NodeId};
 
 /// Builds a directed cycle with a tail to the terminal:
@@ -15,12 +16,7 @@ use crate::{DiGraph, Network, NetworkError, NodeId};
 ///
 /// Returns [`NetworkError::InvalidParameter`] when `k < 2`.
 pub fn cycle_with_tail(k: usize) -> Result<Network, NetworkError> {
-    if k < 2 {
-        return Err(NetworkError::InvalidParameter(
-            "cycle_with_tail needs a cycle of length >= 2".to_owned(),
-        ));
-    }
-    let mut g = DiGraph::with_capacity(k + 2);
+    let mut g = DiGraph::with_capacity(cycle_with_tail_node_count(k)?);
     let s = g.add_node();
     let cs = g.add_nodes(k);
     let t = g.add_node();
@@ -32,6 +28,20 @@ pub fn cycle_with_tail(k: usize) -> Result<Network, NetworkError> {
     Network::new(g, s, t)
 }
 
+/// The vertex count of [`cycle_with_tail`]`(k)`, computed without building it.
+///
+/// # Errors
+///
+/// Returns the error [`cycle_with_tail`] returns for these parameters.
+pub fn cycle_with_tail_node_count(k: usize) -> Result<usize, NetworkError> {
+    if k < 2 {
+        return Err(NetworkError::InvalidParameter(
+            "cycle_with_tail needs a cycle of length >= 2".to_owned(),
+        ));
+    }
+    counted(k.checked_add(2))
+}
+
 /// Builds `count` cycles of length `len` chained one after another, each cycle
 /// feeding the next and the last one feeding `t`. Exercises repeated cycle
 /// detection along a single broadcast.
@@ -40,11 +50,7 @@ pub fn cycle_with_tail(k: usize) -> Result<Network, NetworkError> {
 ///
 /// Returns [`NetworkError::InvalidParameter`] when `count == 0` or `len < 2`.
 pub fn nested_cycles(count: usize, len: usize) -> Result<Network, NetworkError> {
-    if count == 0 || len < 2 {
-        return Err(NetworkError::InvalidParameter(
-            "nested_cycles needs count >= 1 and len >= 2".to_owned(),
-        ));
-    }
+    nested_cycles_node_count(count, len)?;
     let mut g = DiGraph::new();
     let s = g.add_node();
     let mut entry = None;
@@ -68,6 +74,21 @@ pub fn nested_cycles(count: usize, len: usize) -> Result<Network, NetworkError> 
     Network::new(g, s, t)
 }
 
+/// The vertex count of [`nested_cycles`]`(count, len)`, computed without
+/// building it.
+///
+/// # Errors
+///
+/// Returns the error [`nested_cycles`] returns for these parameters.
+pub fn nested_cycles_node_count(count: usize, len: usize) -> Result<usize, NetworkError> {
+    if count == 0 || len < 2 {
+        return Err(NetworkError::InvalidParameter(
+            "nested_cycles needs count >= 1 and len >= 2".to_owned(),
+        ));
+    }
+    counted(count.checked_mul(len).and_then(|n| n.checked_add(2)))
+}
+
 /// Builds a random general directed network: a random DAG backbone (guaranteeing
 /// reachability from `s` and a path to `t` from every vertex) plus back edges added
 /// with probability `back_prob`, which create cycles.
@@ -82,19 +103,8 @@ pub fn random_cyclic<R: Rng + ?Sized>(
     forward_prob: f64,
     back_prob: f64,
 ) -> Result<Network, NetworkError> {
-    if internal == 0 {
-        return Err(NetworkError::InvalidParameter(
-            "random_cyclic needs at least one internal vertex".to_owned(),
-        ));
-    }
-    for p in [forward_prob, back_prob] {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(NetworkError::InvalidParameter(format!(
-                "probabilities must be in [0, 1], got {p}"
-            )));
-        }
-    }
-    let mut g = DiGraph::with_capacity(internal + 2);
+    let mut g =
+        DiGraph::with_capacity(random_cyclic_node_count(internal, forward_prob, back_prob)?);
     let s = g.add_node();
     let vs = g.add_nodes(internal);
     g.add_edge(s, vs[0]);
@@ -128,6 +138,28 @@ pub fn random_cyclic<R: Rng + ?Sized>(
         }
     }
     Network::new(g, s, t)
+}
+
+/// The vertex count of [`random_cyclic`]`(rng, internal, forward_prob,
+/// back_prob)`, computed without building it (the count does not depend on
+/// the random draws).
+///
+/// # Errors
+///
+/// Returns the error [`random_cyclic`] returns for these parameters.
+pub fn random_cyclic_node_count(
+    internal: usize,
+    forward_prob: f64,
+    back_prob: f64,
+) -> Result<usize, NetworkError> {
+    if internal == 0 {
+        return Err(NetworkError::InvalidParameter(
+            "random_cyclic needs at least one internal vertex".to_owned(),
+        ));
+    }
+    probability("forward_prob", forward_prob)?;
+    probability("back_prob", back_prob)?;
+    counted(internal.checked_add(2))
 }
 
 /// Attaches a fresh vertex to the first internal vertex of `network`; the new

@@ -2,6 +2,7 @@
 
 use rand::Rng;
 
+use super::{counted, probability};
 use crate::{DiGraph, Network, NetworkError};
 
 /// Builds a stack of `k` diamonds:
@@ -15,12 +16,7 @@ use crate::{DiGraph, Network, NetworkError};
 ///
 /// Returns [`NetworkError::InvalidParameter`] when `k == 0`.
 pub fn diamond_stack(k: usize) -> Result<Network, NetworkError> {
-    if k == 0 {
-        return Err(NetworkError::InvalidParameter(
-            "diamond_stack needs at least one diamond".to_owned(),
-        ));
-    }
-    let mut g = DiGraph::with_capacity(3 * k + 3);
+    let mut g = DiGraph::with_capacity(diamond_stack_node_count(k)?);
     let s = g.add_node();
     let mut a = g.add_node();
     g.add_edge(s, a);
@@ -39,6 +35,20 @@ pub fn diamond_stack(k: usize) -> Result<Network, NetworkError> {
     Network::new(g, s, t)
 }
 
+/// The vertex count of [`diamond_stack`]`(k)`, computed without building it.
+///
+/// # Errors
+///
+/// Returns the error [`diamond_stack`] returns for these parameters.
+pub fn diamond_stack_node_count(k: usize) -> Result<usize, NetworkError> {
+    if k == 0 {
+        return Err(NetworkError::InvalidParameter(
+            "diamond_stack needs at least one diamond".to_owned(),
+        ));
+    }
+    counted(k.checked_mul(3).and_then(|n| n.checked_add(3)))
+}
+
 /// Builds a layered random DAG: `s → gateway`, the gateway feeds every vertex of
 /// the first layer, each vertex of layer `i` sends `fan` edges to random vertices
 /// of layer `i + 1` (plus a repair edge wherever needed so that no vertex is left
@@ -54,11 +64,7 @@ pub fn layered_dag<R: Rng + ?Sized>(
     width: usize,
     fan: usize,
 ) -> Result<Network, NetworkError> {
-    if layers == 0 || width == 0 || fan == 0 {
-        return Err(NetworkError::InvalidParameter(
-            "layered_dag needs layers, width and fan all >= 1".to_owned(),
-        ));
-    }
+    layered_dag_node_count(layers, width, fan)?;
     let mut g = DiGraph::new();
     let s = g.add_node();
     let gateway = g.add_node();
@@ -94,6 +100,26 @@ pub fn layered_dag<R: Rng + ?Sized>(
     Network::new(g, s, t)
 }
 
+/// The vertex count of [`layered_dag`]`(rng, layers, width, fan)`, computed
+/// without building it.
+///
+/// # Errors
+///
+/// Returns the error [`layered_dag`] returns for these parameters.
+pub fn layered_dag_node_count(
+    layers: usize,
+    width: usize,
+    fan: usize,
+) -> Result<usize, NetworkError> {
+    if layers == 0 || width == 0 || fan == 0 {
+        return Err(NetworkError::InvalidParameter(
+            "layered_dag needs layers, width and fan all >= 1".to_owned(),
+        ));
+    }
+    // s, the gateway and t around the layers.
+    counted(layers.checked_mul(width).and_then(|n| n.checked_add(3)))
+}
+
 /// Builds a random DAG on `internal` vertices ordered `v_1 < … < v_n`: `s → v_1`,
 /// each vertex `v_i` (`i >= 2`) receives an edge from a random earlier vertex, and
 /// each ordered pair `(v_i, v_j)` with `i < j` is additionally connected with
@@ -108,17 +134,7 @@ pub fn random_dag<R: Rng + ?Sized>(
     internal: usize,
     edge_prob: f64,
 ) -> Result<Network, NetworkError> {
-    if internal == 0 {
-        return Err(NetworkError::InvalidParameter(
-            "random_dag needs at least one internal vertex".to_owned(),
-        ));
-    }
-    if !(0.0..=1.0).contains(&edge_prob) {
-        return Err(NetworkError::InvalidParameter(format!(
-            "edge_prob must be in [0, 1], got {edge_prob}"
-        )));
-    }
-    let mut g = DiGraph::with_capacity(internal + 2);
+    let mut g = DiGraph::with_capacity(random_dag_node_count(internal, edge_prob)?);
     let s = g.add_node();
     let vs = g.add_nodes(internal);
     g.add_edge(s, vs[0]);
@@ -140,6 +156,22 @@ pub fn random_dag<R: Rng + ?Sized>(
     Network::new(g, s, t)
 }
 
+/// The vertex count of [`random_dag`]`(rng, internal, edge_prob)`, computed
+/// without building it.
+///
+/// # Errors
+///
+/// Returns the error [`random_dag`] returns for these parameters.
+pub fn random_dag_node_count(internal: usize, edge_prob: f64) -> Result<usize, NetworkError> {
+    if internal == 0 {
+        return Err(NetworkError::InvalidParameter(
+            "random_dag needs at least one internal vertex".to_owned(),
+        ));
+    }
+    probability("edge_prob", edge_prob)?;
+    counted(internal.checked_add(2))
+}
+
 /// Builds the complete DAG on `internal` vertices: every pair `(v_i, v_j)` with
 /// `i < j` is an edge, `s → v_1` and `v_n → t`. The densest acyclic topology —
 /// `|E| = Θ(|V|²)` — used to stress the general bounds.
@@ -148,12 +180,7 @@ pub fn random_dag<R: Rng + ?Sized>(
 ///
 /// Returns [`NetworkError::InvalidParameter`] when `internal == 0`.
 pub fn complete_dag(internal: usize) -> Result<Network, NetworkError> {
-    if internal == 0 {
-        return Err(NetworkError::InvalidParameter(
-            "complete_dag needs at least one internal vertex".to_owned(),
-        ));
-    }
-    let mut g = DiGraph::with_capacity(internal + 2);
+    let mut g = DiGraph::with_capacity(complete_dag_node_count(internal)?);
     let s = g.add_node();
     let vs = g.add_nodes(internal);
     let t = g.add_node();
@@ -165,6 +192,21 @@ pub fn complete_dag(internal: usize) -> Result<Network, NetworkError> {
     }
     g.add_edge(vs[internal - 1], t);
     Network::new(g, s, t)
+}
+
+/// The vertex count of [`complete_dag`]`(internal)`, computed without
+/// building it.
+///
+/// # Errors
+///
+/// Returns the error [`complete_dag`] returns for these parameters.
+pub fn complete_dag_node_count(internal: usize) -> Result<usize, NetworkError> {
+    if internal == 0 {
+        return Err(NetworkError::InvalidParameter(
+            "complete_dag needs at least one internal vertex".to_owned(),
+        ));
+    }
+    counted(internal.checked_add(2))
 }
 
 #[cfg(test)]

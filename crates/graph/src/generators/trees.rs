@@ -2,6 +2,7 @@
 
 use rand::Rng;
 
+use super::counted;
 use crate::{DiGraph, Network, NetworkError};
 
 /// Builds a star: `s → hub`, `hub → leaf_i`, `leaf_i → t` for `i = 1..=leaves`.
@@ -13,12 +14,7 @@ use crate::{DiGraph, Network, NetworkError};
 ///
 /// Returns [`NetworkError::InvalidParameter`] when `leaves == 0`.
 pub fn star_network(leaves: usize) -> Result<Network, NetworkError> {
-    if leaves == 0 {
-        return Err(NetworkError::InvalidParameter(
-            "star_network needs at least one leaf".to_owned(),
-        ));
-    }
-    let mut g = DiGraph::with_capacity(leaves + 3);
+    let mut g = DiGraph::with_capacity(star_network_node_count(leaves)?);
     let s = g.add_node();
     let hub = g.add_node();
     let leaf_nodes = g.add_nodes(leaves);
@@ -29,6 +25,21 @@ pub fn star_network(leaves: usize) -> Result<Network, NetworkError> {
         g.add_edge(leaf, t);
     }
     Network::new(g, s, t)
+}
+
+/// The vertex count of [`star_network`]`(leaves)`, computed without building
+/// it.
+///
+/// # Errors
+///
+/// Returns the error [`star_network`] returns for these parameters.
+pub fn star_network_node_count(leaves: usize) -> Result<usize, NetworkError> {
+    if leaves == 0 {
+        return Err(NetworkError::InvalidParameter(
+            "star_network needs at least one leaf".to_owned(),
+        ));
+    }
+    counted(leaves.checked_add(3))
 }
 
 /// Builds the full `arity`-ary grounded tree of the stated `height` (Figure 6a):
@@ -103,17 +114,7 @@ pub fn random_grounded_tree<R: Rng + ?Sized>(
     max_out: usize,
     extra_terminal_prob: f64,
 ) -> Result<Network, NetworkError> {
-    if internal == 0 {
-        return Err(NetworkError::InvalidParameter(
-            "random_grounded_tree needs at least one internal vertex".to_owned(),
-        ));
-    }
-    if max_out < 2 {
-        return Err(NetworkError::InvalidParameter(
-            "random_grounded_tree needs max_out >= 2".to_owned(),
-        ));
-    }
-    let mut g = DiGraph::with_capacity(internal + 2);
+    let mut g = DiGraph::with_capacity(random_grounded_tree_node_count(internal, max_out)?);
     let s = g.add_node();
     let vs = g.add_nodes(internal);
     g.add_edge(s, vs[0]);
@@ -136,6 +137,30 @@ pub fn random_grounded_tree<R: Rng + ?Sized>(
         }
     }
     Network::new(g, s, t)
+}
+
+/// The vertex count of [`random_grounded_tree`]`(rng, internal, max_out, _)`,
+/// computed without building it (the terminal-edge probability is clamped,
+/// never rejected).
+///
+/// # Errors
+///
+/// Returns the error [`random_grounded_tree`] returns for these parameters.
+pub fn random_grounded_tree_node_count(
+    internal: usize,
+    max_out: usize,
+) -> Result<usize, NetworkError> {
+    if internal == 0 {
+        return Err(NetworkError::InvalidParameter(
+            "random_grounded_tree needs at least one internal vertex".to_owned(),
+        ));
+    }
+    if max_out < 2 {
+        return Err(NetworkError::InvalidParameter(
+            "random_grounded_tree needs max_out >= 2".to_owned(),
+        ));
+    }
+    counted(internal.checked_add(2))
 }
 
 #[cfg(test)]

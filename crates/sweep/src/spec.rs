@@ -247,6 +247,45 @@ impl TopologySpec {
         }
     }
 
+    /// Checks the generator parameters without building anything and returns
+    /// the vertex count (root and terminal included) of the network
+    /// [`TopologySpec::build`] would return. Each generator's
+    /// `*_node_count` companion holds its rules, so this accepts exactly what
+    /// `build` accepts: a spec that parses never fails to build its networks
+    /// halfway through a sweep.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error [`TopologySpec::build`] would return.
+    pub fn validate(&self) -> Result<usize, NetworkError> {
+        match *self {
+            TopologySpec::ChainGn { n } => generators::chain_gn_node_count(n),
+            TopologySpec::Path { n } => generators::path_network_node_count(n),
+            TopologySpec::Star { leaves } => generators::star_network_node_count(leaves),
+            TopologySpec::CompleteDag { internal } => generators::complete_dag_node_count(internal),
+            TopologySpec::DiamondStack { k } => generators::diamond_stack_node_count(k),
+            TopologySpec::CycleWithTail { k } => generators::cycle_with_tail_node_count(k),
+            TopologySpec::NestedCycles { count, len } => {
+                generators::nested_cycles_node_count(count, len)
+            }
+            TopologySpec::RandomDag {
+                internal, edge_pct, ..
+            } => generators::random_dag_node_count(internal, pct(edge_pct)),
+            TopologySpec::RandomCyclic {
+                internal,
+                forward_pct,
+                back_pct,
+                ..
+            } => generators::random_cyclic_node_count(internal, pct(forward_pct), pct(back_pct)),
+            TopologySpec::LayeredDag {
+                layers, width, fan, ..
+            } => generators::layered_dag_node_count(layers, width, fan),
+            TopologySpec::RandomGroundedTree {
+                internal, max_out, ..
+            } => generators::random_grounded_tree_node_count(internal, max_out),
+        }
+    }
+
     /// Canonical spec line (without the `topology ` keyword).
     fn spec_args(&self) -> String {
         match *self {
@@ -370,8 +409,9 @@ pub enum ScenarioSpec {
         retry: u32,
         /// Crash windows `(node, from, until)`: vertex `node` (an index into
         /// the unit's *canonical* relabeling) destroys every delivery
-        /// addressed to it during engine steps `[from, until)`. An
-        /// out-of-range index matches no vertex and is a no-op.
+        /// addressed to it during engine steps `[from, until)`.
+        /// [`SweepSpec::parse`] rejects an index that is out of range for
+        /// any of the spec's topologies.
         crashes: Vec<(usize, u64, u64)>,
     },
     /// The run starts from corrupted protocol state and success is the
@@ -719,6 +759,8 @@ impl SweepSpec {
             max_deliveries: 10_000_000,
             scenarios: vec![ScenarioSpec::Pristine],
         };
+        // The line of each `faults` scenario, in order, for the crash check.
+        let mut crash_lines: Vec<usize> = Vec::new();
         for (i, raw) in text.lines().enumerate() {
             let line_no = i + 1;
             let line = raw.split('#').next().unwrap_or("").trim();
@@ -732,8 +774,14 @@ impl SweepSpec {
                         .push(ProtocolSpec::parse_args(rest, line_no)?);
                 }
                 ["topology", rest @ ..] => {
-                    spec.topologies
-                        .push(TopologySpec::parse_args(rest, line_no)?);
+                    let topology = TopologySpec::parse_args(rest, line_no)?;
+                    topology.validate().map_err(|err| {
+                        SweepError::Spec(format!(
+                            "line {line_no}: topology {}: {err}",
+                            topology.name()
+                        ))
+                    })?;
+                    spec.topologies.push(topology);
                 }
                 ["seeds", rest @ ..] if !rest.is_empty() => {
                     spec.seeds = parse_seeds(rest, line_no)?;
@@ -745,12 +793,14 @@ impl SweepSpec {
                     spec.max_deliveries = parse_int(n, line_no)?;
                 }
                 ["faults", "ramp", rest @ ..] => {
-                    spec.scenarios
-                        .extend(ScenarioSpec::parse_ramp(rest, line_no)?);
+                    let ramp = ScenarioSpec::parse_ramp(rest, line_no)?;
+                    crash_lines.extend(ramp.iter().map(|_| line_no));
+                    spec.scenarios.extend(ramp);
                 }
                 ["faults", rest @ ..] => {
                     spec.scenarios
                         .push(ScenarioSpec::parse_faults(rest, line_no)?);
+                    crash_lines.push(line_no);
                 }
                 ["corrupt", rest @ ..] => {
                     spec.scenarios
@@ -771,6 +821,26 @@ impl SweepSpec {
         }
         if spec.seeds.is_empty() {
             return Err(SweepError::Spec("spec declares no seeds".to_owned()));
+        }
+        // Every crash window applies to every topology, so a target must name
+        // a vertex of each: anywhere else it would silently crash nothing.
+        let crash_sets = spec.scenarios.iter().filter_map(|s| match s {
+            ScenarioSpec::Faulty { crashes, .. } => Some(crashes),
+            _ => None,
+        });
+        for (crashes, line_no) in crash_sets.zip(crash_lines) {
+            for &(node, _, _) in crashes {
+                let out_of_range = spec.topologies.iter().find_map(|topology| {
+                    let nodes = topology.validate().ok()?;
+                    (node >= nodes).then_some((topology, nodes))
+                });
+                if let Some((topology, nodes)) = out_of_range {
+                    return Err(SweepError::Spec(format!(
+                        "line {line_no}: crash target {node} is out of range for topology {} ({nodes} vertices)",
+                        topology.name()
+                    )));
+                }
+            }
         }
         Ok(spec)
     }
@@ -1169,6 +1239,114 @@ mod tests {
             let a = t.build().expect("sample topologies build");
             let b = t.build().expect("sample topologies build");
             assert_eq!(a.edge_count(), b.edge_count());
+        }
+    }
+
+    #[test]
+    fn degenerate_generator_parameters_are_rejected_with_line_numbers() {
+        for (topology, needle) in [
+            (
+                "random-cyclic 0 20 10 1",
+                "topology random-cyclic/0f20b10s1: invalid generator parameter: \
+                 random_cyclic needs at least one internal vertex",
+            ),
+            (
+                "complete-dag 0",
+                "topology complete-dag/0: invalid generator parameter: \
+                 complete_dag needs at least one internal vertex",
+            ),
+            ("chain-gn 0", "chain_gn needs"),
+            ("path 0", "path_network needs"),
+            ("star 0", "star_network needs"),
+            ("diamond-stack 0", "diamond_stack needs"),
+            ("cycle-with-tail 1", "cycle_with_tail needs"),
+            ("nested-cycles 0 3", "nested_cycles needs"),
+            ("nested-cycles 2 1", "nested_cycles needs"),
+            ("random-dag 0 30 1", "random_dag needs"),
+            ("layered-dag 2 0 1 1", "layered_dag needs"),
+            (
+                "grounded-tree 5 1 30 1",
+                "random_grounded_tree needs max_out >= 2",
+            ),
+        ] {
+            let text = format!("protocol labeling\n# comment\ntopology {topology}\n");
+            let err = SweepSpec::parse(&text).expect_err(&text).to_string();
+            assert!(
+                err.contains("line 3") && err.contains(needle),
+                "{text} -> {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn validate_agrees_with_build() {
+        for a in 0..4usize {
+            for b in 0..4usize {
+                for topology in [
+                    TopologySpec::ChainGn { n: a },
+                    TopologySpec::Path { n: a },
+                    TopologySpec::Star { leaves: a },
+                    TopologySpec::CompleteDag { internal: a },
+                    TopologySpec::DiamondStack { k: a },
+                    TopologySpec::CycleWithTail { k: a },
+                    TopologySpec::NestedCycles { count: a, len: b },
+                    TopologySpec::RandomDag {
+                        internal: a,
+                        edge_pct: 30,
+                        seed: b as u64,
+                    },
+                    TopologySpec::RandomCyclic {
+                        internal: a,
+                        forward_pct: 20,
+                        back_pct: 10,
+                        seed: b as u64,
+                    },
+                    TopologySpec::LayeredDag {
+                        layers: a,
+                        width: b,
+                        fan: a.min(b),
+                        seed: 1,
+                    },
+                    TopologySpec::RandomGroundedTree {
+                        internal: a,
+                        max_out: b,
+                        extra_pct: 30,
+                        seed: 1,
+                    },
+                ] {
+                    let built = topology.build().map(|network| network.node_count());
+                    assert_eq!(topology.validate(), built, "{topology:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_crash_targets_are_rejected_with_line_numbers() {
+        // path 3 has 5 vertices: canonical ids 0..=4.
+        let ok = "protocol mapping\ntopology path 3\nfaults crash=4:0..5\n";
+        assert!(SweepSpec::parse(ok).is_ok());
+        for (text, needle) in [
+            (
+                "protocol mapping\ntopology path 3\nfaults crash=99:0..5\n",
+                "line 3: crash target 99 is out of range for topology path/3 (5 vertices)",
+            ),
+            (
+                "protocol mapping\ntopology path 3\nfaults crash=5:0..5 retry=2\n",
+                "line 3: crash target 5",
+            ),
+            // In range for the larger topology, not for the smaller one.
+            (
+                "protocol mapping\ntopology chain-gn 30\ntopology star 2\n\nfaults drop=5 seed=1\nfaults crash=10:0..5\n",
+                "line 6: crash target 10 is out of range for topology star/2",
+            ),
+            (
+                "protocol mapping\ntopology path 3\nfaults ramp drop=0..20 step=10 crash=7:1..2\n",
+                "line 3: crash target 7",
+            ),
+        ] {
+            let err = SweepSpec::parse(text).expect_err(text).to_string();
+            assert!(err.contains(needle), "{text} -> {err}");
         }
     }
 }

@@ -134,3 +134,46 @@ fn run_shard_child_mode_writes_only_its_own_shard() {
     assert!(!out_dir.join("merged.jsonl").exists());
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn bad_generator_parameters_and_crash_targets_fail_before_any_shard_starts() {
+    let dir = test_dir("bad-spec");
+    for (name, text, needle) in [
+        (
+            "cyclic",
+            "protocol mapping\ntopology chain-gn 4\ntopology random-cyclic 0 20 15 7\n",
+            "line 3",
+        ),
+        (
+            "dag",
+            "protocol labeling\ntopology complete-dag 0\n",
+            "line 2",
+        ),
+        (
+            "crash",
+            "protocol mapping\ntopology path 3\nfaults crash=99:0..5\n",
+            "line 3: crash target 99",
+        ),
+    ] {
+        let spec_path = dir.join(format!("{name}.spec"));
+        fs::write(&spec_path, text).unwrap();
+        let out_dir = dir.join(name);
+        let out = run_sweep(&[
+            "--spec",
+            spec_path.to_str().unwrap(),
+            "--shards",
+            "2",
+            "--out",
+            out_dir.to_str().unwrap(),
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{name}: bad spec accepted");
+        assert!(stderr.contains(needle), "{name}: {stderr}");
+        assert!(
+            !stderr.contains("shard"),
+            "{name}: a shard started: {stderr}"
+        );
+        assert!(!out_dir.join("shard-0.jsonl").exists(), "{name}");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
