@@ -64,12 +64,13 @@ impl BroadcastReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anet_graph::{EdgeId, NodeId};
 
     #[test]
     fn report_distils_flags() {
         let mut metrics = RunMetrics::new(2);
-        metrics.record_send(0, 10);
-        metrics.record_send(1, 20);
+        metrics.record_send(0, EdgeId(0), NodeId(0), NodeId(1), 10);
+        metrics.record_send(1, EdgeId(1), NodeId(1), NodeId(2), 20);
         let r = BroadcastReport::from_run(
             Outcome::Terminated,
             Some(5),

@@ -1,5 +1,6 @@
 //! Grounded-tree generators (Section 3.1 and Figure 6a).
 
+use anet_num::RankSet;
 use rand::Rng;
 
 use super::counted;
@@ -103,7 +104,9 @@ pub fn full_grounded_tree(height: usize, arity: usize) -> Result<Network, Networ
 /// how "Figure-5-like" (many terminal edges) the tree is.
 ///
 /// The result always satisfies the grounded-tree hypothesis of Theorem 3.1 and has
-/// every vertex reachable from `s` and connected to `t`.
+/// every vertex reachable from `s` and connected to `t`. The eligible parents
+/// are kept in a [`RankSet`], so the build takes O(`internal` · log `internal`)
+/// time.
 ///
 /// # Errors
 ///
@@ -120,15 +123,19 @@ pub fn random_grounded_tree<R: Rng + ?Sized>(
     g.add_edge(s, vs[0]);
     // children[i] counts tree children of vs[i] (edges to other internal vertices).
     let mut children = vec![0usize; internal];
+    // The earlier vertices with fewer than `max_out - 1` children, in index
+    // order: the k-th of them is the parent a draw of k selects.
+    let mut eligible = RankSet::new(internal);
     for i in 1..internal {
-        let candidates: Vec<usize> = (0..i).filter(|&j| children[j] < max_out - 1).collect();
-        let parent = if candidates.is_empty() {
-            rng.gen_range(0..i)
-        } else {
-            candidates[rng.gen_range(0..candidates.len())]
-        };
+        // A new vertex has no children yet, and `max_out - 1 >= 1`, so the
+        // set is never empty here.
+        eligible.insert(i - 1);
+        let parent = eligible.select(rng.gen_range(0..eligible.len()));
         g.add_edge(vs[parent], vs[i]);
         children[parent] += 1;
+        if children[parent] == max_out - 1 {
+            eligible.remove(parent);
+        }
     }
     let t = g.add_node();
     for i in 0..internal {
@@ -238,6 +245,74 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         assert!(random_grounded_tree(&mut rng, 0, 3, 0.5).is_err());
         assert!(random_grounded_tree(&mut rng, 5, 1, 0.5).is_err());
+    }
+
+    /// The generator's original loop, which rebuilds the eligible-parent list
+    /// for every vertex (O(internal²)): the oracle of the `RankSet` version.
+    fn quadratic_random_grounded_tree<R: Rng + ?Sized>(
+        rng: &mut R,
+        internal: usize,
+        max_out: usize,
+        extra_terminal_prob: f64,
+    ) -> Network {
+        let mut g = DiGraph::new();
+        let s = g.add_node();
+        let vs = g.add_nodes(internal);
+        g.add_edge(s, vs[0]);
+        let mut children = vec![0usize; internal];
+        for i in 1..internal {
+            let candidates: Vec<usize> = (0..i).filter(|&j| children[j] < max_out - 1).collect();
+            let parent = if candidates.is_empty() {
+                rng.gen_range(0..i)
+            } else {
+                candidates[rng.gen_range(0..candidates.len())]
+            };
+            g.add_edge(vs[parent], vs[i]);
+            children[parent] += 1;
+        }
+        let t = g.add_node();
+        for i in 0..internal {
+            if children[i] == 0 || rng.gen_bool(extra_terminal_prob.clamp(0.0, 1.0)) {
+                g.add_edge(vs[i], t);
+            }
+        }
+        Network::new(g, s, t).unwrap()
+    }
+
+    #[test]
+    fn random_tree_matches_the_quadratic_oracle() {
+        for internal in [1usize, 2, 3, 7, 64, 65, 300] {
+            for max_out in [2usize, 3, 4, 10] {
+                for p in [0.0, 0.3, 1.0] {
+                    for seed in 0..4u64 {
+                        let fast = random_grounded_tree(
+                            &mut StdRng::seed_from_u64(seed),
+                            internal,
+                            max_out,
+                            p,
+                        )
+                        .unwrap();
+                        let oracle = quadratic_random_grounded_tree(
+                            &mut StdRng::seed_from_u64(seed),
+                            internal,
+                            max_out,
+                            p,
+                        );
+                        let edges = |n: &Network| -> Vec<_> {
+                            n.graph()
+                                .edges()
+                                .map(|e| n.graph().edge_endpoints(e))
+                                .collect()
+                        };
+                        assert_eq!(
+                            (fast.node_count(), edges(&fast)),
+                            (oracle.node_count(), edges(&oracle)),
+                            "internal={internal} max_out={max_out} p={p} seed={seed}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

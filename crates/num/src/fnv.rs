@@ -7,7 +7,7 @@
 //! so the magic constants live in exactly one place.
 
 /// An incremental FNV-1a 64-bit hasher.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fnv1a(u64);
 
 impl Fnv1a {

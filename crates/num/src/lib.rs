@@ -26,6 +26,9 @@
 //! * [`intern`] — hash-consing [`Interner`] arenas (values → dense `u32` ids) and
 //!   [`IdSet`] bitsets, the identifier economy behind the record-flooding
 //!   protocols.
+//! * [`RankSet`] — a Fenwick-indexed subset of `0..n` with O(log n) insert,
+//!   remove and select-by-rank, behind every uniform draw from a changing
+//!   candidate set (the random scheduler, the random grounded-tree generator).
 //!
 //! # Example
 //!
@@ -54,6 +57,7 @@ pub mod intern;
 mod interval;
 mod interval_union;
 pub mod partition;
+mod rank_set;
 mod ratio;
 pub mod reference;
 
@@ -64,4 +68,5 @@ pub use fnv::{Fnv1a, FnvBuildHasher, FnvHasher};
 pub use intern::{IdBag, IdSet, Interner};
 pub use interval::Interval;
 pub use interval_union::IntervalUnion;
+pub use rank_set::RankSet;
 pub use ratio::Ratio;

@@ -49,7 +49,9 @@ pub struct ExecutionConfig {
     /// protocols that would otherwise loop forever.
     pub max_deliveries: u64,
     /// Whether to record a full [`Trace`] of every send (needed by the lower-bound
-    /// experiments, skipped by the benchmarks for speed).
+    /// experiments, skipped by the benchmarks and the sweep for speed). The
+    /// trace's digest does not need it: every run streams
+    /// [`RunMetrics::trace_digest`], which equals [`Trace::digest`].
     pub record_trace: bool,
 }
 
@@ -440,25 +442,23 @@ where
             out_edges.len()
         );
         let edge = out_edges[port] as usize;
+        let dst = csr.edge_dst(edge as u32);
         let bits = message.wire_bits();
-        metrics.record_send(edge, bits);
+        let (edge_id, src_id, dst_id) = (EdgeId(edge), NodeId(from as usize), NodeId(dst as usize));
+        metrics.record_send(*next_seq, edge_id, src_id, dst_id, bits);
         if let Some(t) = trace.as_mut() {
             t.push(SendEvent {
                 seq: *next_seq,
-                edge: EdgeId(edge),
-                src: NodeId(from as usize),
-                dst: NodeId(csr.edge_dst(edge as u32) as usize),
+                edge: edge_id,
+                src: src_id,
+                dst: dst_id,
                 bits,
                 message: message.clone(),
             });
         }
         if arena.push_back(edge, *next_seq, message) {
             // The edge turns active and this message becomes its head.
-            scheduler.on_head(
-                EdgeId(edge),
-                *next_seq,
-                csr.edge_dst(edge as u32) == terminal,
-            );
+            scheduler.on_head(edge_id, *next_seq, dst == terminal);
         }
         *in_flight += 1;
         *next_seq += 1;

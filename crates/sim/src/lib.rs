@@ -32,7 +32,9 @@
 //!   (slab invariants, slot recycling, aliasing rules).
 //! * [`metrics::RunMetrics`] — communication-complexity accounting: total bits,
 //!   per-edge bits (bandwidth), message counts and maximum message size, measured
-//!   through the [`Wire`] size of every transmitted message.
+//!   through the [`Wire`] size of every transmitted message, plus the trace
+//!   digest streamed send by send, so a run that only needs the digest records
+//!   no trace.
 //! * [`trace::Trace`] — an optional full record of every delivery, used by the
 //!   lower-bound experiments to extract transmitted alphabets and cut snapshots.
 //!

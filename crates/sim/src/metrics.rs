@@ -1,5 +1,9 @@
 //! Communication-complexity accounting.
 
+use anet_graph::{EdgeId, NodeId};
+
+use crate::trace::{fold_send, Fnv1a};
+
 /// Per-run communication metrics, the raw material of every experiment table.
 ///
 /// A message is charged at *send* time (when it is placed on an edge); the paper's
@@ -40,6 +44,9 @@ pub struct RunMetrics {
     pub per_edge_messages: Vec<u64>,
     /// Bits sent per edge, indexed by edge id.
     pub per_edge_bits: Vec<u64>,
+    /// The trace digest, folded in send by send (see
+    /// [`RunMetrics::trace_digest`]).
+    trace_digest: Fnv1a,
 }
 
 impl RunMetrics {
@@ -52,13 +59,25 @@ impl RunMetrics {
         }
     }
 
-    /// Records one sent message of `bits` bits on edge `edge_index`.
-    pub fn record_send(&mut self, edge_index: usize, bits: u64) {
+    /// Records the send numbered `seq` of one `bits`-bit message on `edge`,
+    /// from `src` to `dst`, and folds it into [`RunMetrics::trace_digest`].
+    pub fn record_send(&mut self, seq: u64, edge: EdgeId, src: NodeId, dst: NodeId, bits: u64) {
         self.messages_sent += 1;
         self.total_bits += bits;
         self.max_message_bits = self.max_message_bits.max(bits);
-        self.per_edge_messages[edge_index] += 1;
-        self.per_edge_bits[edge_index] += bits;
+        self.per_edge_messages[edge.index()] += 1;
+        self.per_edge_bits[edge.index()] += bits;
+        fold_send(&mut self.trace_digest, seq, edge, src, dst, bits);
+    }
+
+    /// The digest of the run's sends so far: equal to
+    /// [`Trace::digest`](crate::trace::Trace::digest) of the trace the run
+    /// would record, without recording it. Runs that only need the
+    /// fingerprint (the sweep's records) can leave
+    /// [`ExecutionConfig::record_trace`](crate::engine::ExecutionConfig::record_trace)
+    /// off.
+    pub fn trace_digest(&self) -> u64 {
+        self.trace_digest.finish()
     }
 
     /// Records one delivery.
@@ -111,6 +130,11 @@ impl RunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{SendEvent, Trace};
+
+    fn send(m: &mut RunMetrics, seq: u64, edge: usize, bits: u64) {
+        m.record_send(seq, EdgeId(edge), NodeId(edge), NodeId(edge + 1), bits);
+    }
 
     #[test]
     fn zeroed_construction() {
@@ -125,9 +149,9 @@ mod tests {
     #[test]
     fn send_accounting() {
         let mut m = RunMetrics::new(2);
-        m.record_send(0, 10);
-        m.record_send(1, 30);
-        m.record_send(1, 5);
+        send(&mut m, 0, 0, 10);
+        send(&mut m, 1, 1, 30);
+        send(&mut m, 2, 1, 5);
         m.record_delivery();
         assert_eq!(m.messages_sent, 3);
         assert_eq!(m.messages_delivered, 1);
@@ -144,7 +168,7 @@ mod tests {
     #[test]
     fn fault_counters_do_not_touch_wire_accounting() {
         let mut m = RunMetrics::new(1);
-        m.record_send(0, 10);
+        send(&mut m, 0, 0, 10);
         m.record_drop();
         m.record_duplicate();
         m.record_crashed_delivery();
@@ -157,5 +181,29 @@ mod tests {
         assert_eq!(m.messages_sent, 1);
         assert_eq!(m.total_bits, 10);
         assert_eq!(m.per_edge_messages, vec![1]);
+    }
+
+    #[test]
+    fn streamed_digest_equals_the_trace_digest() {
+        let mut m = RunMetrics::new(3);
+        let mut trace = Trace::new();
+        assert_eq!(m.trace_digest(), trace.digest());
+        for (seq, edge, bits) in [(0u64, 0usize, 7u64), (1, 2, 40), (3, 1, 7), (4, 2, 1)] {
+            send(&mut m, seq, edge, bits);
+            trace.push(SendEvent {
+                seq,
+                edge: EdgeId(edge),
+                src: NodeId(edge),
+                dst: NodeId(edge + 1),
+                bits,
+                message: (),
+            });
+            assert_eq!(m.trace_digest(), trace.digest());
+        }
+        // Fault counters are not sends and leave the digest alone.
+        let before = m.trace_digest();
+        m.record_drop();
+        m.record_duplicate();
+        assert_eq!(m.trace_digest(), before);
     }
 }

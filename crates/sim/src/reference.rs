@@ -89,7 +89,7 @@ where
         );
         let edge = out_edges[port];
         let bits = message.wire_bits();
-        metrics.record_send(edge.index(), bits);
+        metrics.record_send(*next_seq, edge, from, graph.edge_dst(edge), bits);
         if let Some(t) = trace.as_mut() {
             t.push(SendEvent {
                 seq: *next_seq,
@@ -389,7 +389,7 @@ where
         );
         let edge = out_edges[port];
         let bits = message.wire_bits();
-        metrics.record_send(edge.index(), bits);
+        metrics.record_send(*next_seq, edge, from, graph.edge_dst(edge), bits);
         if let Some(t) = trace.as_mut() {
             t.push(SendEvent {
                 seq: *next_seq,

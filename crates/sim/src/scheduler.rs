@@ -50,6 +50,7 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 
 use anet_graph::{EdgeId, NodeId};
+use anet_num::RankSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -532,83 +533,6 @@ impl Scheduler for DepthFirstScheduler {
     }
 }
 
-/// A Fenwick-indexed set of active edges supporting O(log E) insert, remove and
-/// *select-by-rank* (the k-th smallest active edge id).
-///
-/// Rank selection is what lets the incremental random scheduler agree exactly
-/// with the full-scan reference: the reference samples an index into the
-/// candidate list, which holds active edges in increasing edge-id order, so the
-/// sampled index *is* a rank in this set.
-#[derive(Debug, Clone, Default)]
-struct ActiveEdgeSet {
-    /// Fenwick (binary indexed) tree over edge ids; `tree[i]` covers a dyadic
-    /// block of ids, 1-based.
-    tree: Vec<u32>,
-    active: Vec<bool>,
-    len: usize,
-}
-
-impl ActiveEdgeSet {
-    fn reset(&mut self, edge_count: usize) {
-        self.tree.clear();
-        self.tree.resize(edge_count + 1, 0);
-        self.active.clear();
-        self.active.resize(edge_count, false);
-        self.len = 0;
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    #[cfg(test)]
-    fn contains(&self, edge: EdgeId) -> bool {
-        self.active[edge.index()]
-    }
-
-    fn add(&mut self, delta: i32, index: usize) {
-        let mut i = index + 1;
-        while i < self.tree.len() {
-            self.tree[i] = (self.tree[i] as i32 + delta) as u32;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    fn insert(&mut self, edge: EdgeId) {
-        if !self.active[edge.index()] {
-            self.active[edge.index()] = true;
-            self.len += 1;
-            self.add(1, edge.index());
-        }
-    }
-
-    fn remove(&mut self, edge: EdgeId) {
-        if self.active[edge.index()] {
-            self.active[edge.index()] = false;
-            self.len -= 1;
-            self.add(-1, edge.index());
-        }
-    }
-
-    /// Returns the active edge with exactly `rank` active edges below it
-    /// (`rank` is 0-based and must be `< len`).
-    fn select(&self, rank: usize) -> EdgeId {
-        debug_assert!(rank < self.len);
-        let mut remaining = rank as u32 + 1;
-        let mut pos = 0usize;
-        let mut step = (self.tree.len() - 1).next_power_of_two();
-        while step > 0 {
-            let next = pos + step;
-            if next < self.tree.len() && self.tree[next] < remaining {
-                remaining -= self.tree[next];
-                pos = next;
-            }
-            step >>= 1;
-        }
-        EdgeId(pos)
-    }
-}
-
 /// Delivers a uniformly random pending message (seeded, hence reproducible).
 ///
 /// The RNG stream deliberately persists across [`Scheduler::begin_run`] calls so
@@ -616,7 +540,10 @@ impl ActiveEdgeSet {
 #[derive(Debug, Clone)]
 pub struct RandomScheduler {
     rng: StdRng,
-    active: ActiveEdgeSet,
+    /// The active edge ids. The full-scan reference draws an index into the
+    /// candidate list, which holds active edges in increasing id order, so
+    /// the drawn index is a rank in this set and both pick the same edge.
+    active: RankSet,
 }
 
 impl RandomScheduler {
@@ -624,7 +551,7 @@ impl RandomScheduler {
     pub fn seeded(seed: u64) -> Self {
         RandomScheduler {
             rng: StdRng::seed_from_u64(seed),
-            active: ActiveEdgeSet::default(),
+            active: RankSet::default(),
         }
     }
 }
@@ -639,20 +566,20 @@ impl Scheduler for RandomScheduler {
     }
 
     fn on_head(&mut self, edge: EdgeId, _head_seq: u64, _into_terminal: bool) {
-        self.active.insert(edge);
+        self.active.insert(edge.index());
     }
 
     fn on_idle(&mut self, edge: EdgeId) {
-        self.active.remove(edge);
+        self.active.remove(edge.index());
     }
 
     fn next_edge(&mut self) -> EdgeId {
         assert!(
-            self.active.len() > 0,
+            !self.active.is_empty(),
             "next_edge called with no active edge"
         );
         let rank = self.rng.gen_range(0..self.active.len());
-        self.active.select(rank)
+        EdgeId(self.active.select(rank))
     }
 
     fn pick_full_scan(&mut self, candidates: &[PendingEdge]) -> usize {
@@ -1028,29 +955,6 @@ mod tests {
                 // Both sides keep the edge active (head advance, not idle).
             }
         }
-    }
-
-    #[test]
-    fn active_edge_set_select_is_order_statistics() {
-        let mut set = ActiveEdgeSet::default();
-        set.reset(10);
-        for e in [3usize, 0, 7, 9, 4] {
-            set.insert(EdgeId(e));
-        }
-        assert_eq!(set.len(), 5);
-        let ranks: Vec<EdgeId> = (0..5).map(|k| set.select(k)).collect();
-        assert_eq!(
-            ranks,
-            vec![EdgeId(0), EdgeId(3), EdgeId(4), EdgeId(7), EdgeId(9)]
-        );
-        set.remove(EdgeId(3));
-        assert_eq!(set.select(1), EdgeId(4));
-        assert!(set.contains(EdgeId(7)));
-        assert!(!set.contains(EdgeId(3)));
-        // Idempotent inserts and removes keep the count exact.
-        set.insert(EdgeId(7));
-        set.remove(EdgeId(3));
-        assert_eq!(set.len(), 4);
     }
 
     #[test]

@@ -83,7 +83,7 @@ where
         );
         let edge = out[port];
         let bits = message.wire_bits();
-        metrics.record_send(edge.index(), bits);
+        metrics.record_send(*next_seq, edge, src, graph.edge_dst(edge), bits);
         if let Some(t) = trace.as_mut() {
             t.push(SendEvent {
                 seq: *next_seq,

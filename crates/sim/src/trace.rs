@@ -119,17 +119,37 @@ impl<M> Trace<M> {
     /// the fingerprint the sharded sweep subsystem uses to compare runs across
     /// process boundaries without shipping whole traces. It depends only on
     /// integer arithmetic, so it is identical across platforms and processes.
+    ///
+    /// Every engine also folds each send into
+    /// [`RunMetrics::trace_digest`](crate::metrics::RunMetrics::trace_digest)
+    /// as it happens, through the same `fold_send`, so the two values agree
+    /// on every run; the sweep reads the streamed one and records no trace.
     pub fn digest(&self) -> u64 {
         let mut hash = Fnv1a::new();
         for e in &self.events {
-            hash.write_u64(e.seq);
-            hash.write_u64(e.edge.index() as u64);
-            hash.write_u64(e.src.index() as u64);
-            hash.write_u64(e.dst.index() as u64);
-            hash.write_u64(e.bits);
+            fold_send(&mut hash, e.seq, e.edge, e.src, e.dst, e.bits);
         }
         hash.finish()
     }
+}
+
+/// Folds one send's `(seq, edge, src, dst, bits)` into a trace-digest state,
+/// each field as a little-endian `u64`: the single definition of the digest
+/// format behind [`Trace::digest`] and the streamed
+/// [`RunMetrics::trace_digest`](crate::metrics::RunMetrics::trace_digest).
+pub(crate) fn fold_send(
+    hash: &mut Fnv1a,
+    seq: u64,
+    edge: EdgeId,
+    src: NodeId,
+    dst: NodeId,
+    bits: u64,
+) {
+    hash.write_u64(seq);
+    hash.write_u64(edge.index() as u64);
+    hash.write_u64(src.index() as u64);
+    hash.write_u64(dst.index() as u64);
+    hash.write_u64(bits);
 }
 
 #[cfg(test)]

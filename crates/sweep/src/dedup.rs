@@ -90,6 +90,17 @@ pub fn cluster_units(
     spec: &SweepSpec,
     units: &[&SweepUnit],
 ) -> Result<Vec<UnitCluster>, SweepError> {
+    cluster_with_forms(spec, units).map(|(clusters, _)| clusters)
+}
+
+/// [`cluster_units`] plus the canonical form of every distinct topology it
+/// built, keyed by topology name, so the dedup shard path can run each
+/// representative on `form.to_network()` without building and
+/// canonicalizing its topology again.
+pub(crate) fn cluster_with_forms(
+    spec: &SweepSpec,
+    units: &[&SweepUnit],
+) -> Result<(Vec<UnitCluster>, BTreeMap<String, CanonicalForm>), SweepError> {
     let mut forms: BTreeMap<String, CanonicalForm> = BTreeMap::new();
     for unit in units {
         if let std::collections::btree_map::Entry::Vacant(slot) = forms.entry(unit.topology.name())
@@ -122,7 +133,7 @@ pub fn cluster_units(
         })
         .collect();
     clusters.sort_unstable_by_key(|c| c.representative);
-    Ok(clusters)
+    Ok((clusters, forms))
 }
 
 impl Manifest {

@@ -1,15 +1,28 @@
 //! Deterministic execution of single sweep units.
 //!
-//! [`execute_unit`] is the only place a sweep touches the simulator: it
+//! [`execute_unit`] is the only public way a sweep touches the simulator: it
 //! rebuilds the unit's network from its [`TopologySpec`](crate::TopologySpec)
 //! (self-seeded, so the
 //! construction is identical in every process), **canonicalizes** it
-//! ([`anet_graph::canon`]), runs exactly one cell of the standard battery via
-//! [`anet_sim::runner::run_battery_cell`] with trace recording on, applies
-//! the protocol's own success check, and distils the result into a canonical
-//! [`RunRecord`]. Two executions of the same unit — same process, different
-//! process, different host — produce byte-identical records, which is the
-//! invariant the whole shard/merge machinery rests on.
+//! ([`anet_graph::canon`]), and hands the canonical network to the
+//! crate-private `execute_on`. That runs exactly one cell of the standard
+//! battery via [`anet_sim::runner::run_battery_cell`], applies the protocol's
+//! own success check, and distils the result into a canonical [`RunRecord`].
+//! Two executions of the same unit — same process, different process,
+//! different host — produce byte-identical records, which is the invariant
+//! the whole shard/merge machinery rests on.
+//!
+//! A record keeps the run's counters and one 64-bit trace digest, never the
+//! trace itself, so units run with trace recording **off**: every engine
+//! folds each send into [`RunMetrics::trace_digest`] as it happens, and that
+//! value equals [`Trace::digest`] of the trace the run would have recorded.
+//! The dedup shard path already holds each distinct topology's canonical
+//! form from clustering, so it builds each canonical network once per shard
+//! and calls `execute_on` for every representative on it; the honest
+//! `--no-dedup` path calls [`execute_unit`] per unit.
+//!
+//! [`RunMetrics::trace_digest`]: anet_sim::metrics::RunMetrics::trace_digest
+//! [`Trace::digest`]: anet_sim::trace::Trace::digest
 //!
 //! Running on the canonical relabeling (rather than the generator's raw
 //! labeling) is deliberate and unconditional — the honest `--no-dedup` path
@@ -61,15 +74,29 @@ pub fn execute_unit(spec: &SweepSpec, unit: &SweepUnit) -> Result<RunRecord, Swe
         .form
         .to_network()
         .map_err(SweepError::Topology)?;
+    Ok(execute_on(spec, unit, &network))
+}
+
+/// Runs `unit` on `network` and produces its canonical record.
+///
+/// `network` must be the canonical network of the unit's topology or of a
+/// topology isomorphic to it — `form.to_network()` of its
+/// [`canonical_form`], which is the same network for every member of an
+/// isomorphism class. Then the record is byte-identical to
+/// [`execute_unit`]'s. Any other network yields a well-formed record of a
+/// different experiment, so callers outside this crate go through
+/// [`execute_unit`].
+pub(crate) fn execute_on(spec: &SweepSpec, unit: &SweepUnit, network: &Network) -> RunRecord {
+    // The record keeps only the streamed digest of the sends, so no trace.
     let config = RunConfig::from(ExecutionConfig {
         max_deliveries: spec.max_deliveries,
-        record_trace: true,
+        record_trace: false,
     });
     match &unit.protocol {
         ProtocolSpec::Mapping => {
             let protocol = Mapping::new();
             let named = run_scenario_cell(
-                &network,
+                network,
                 &protocol,
                 config,
                 spec,
@@ -77,13 +104,13 @@ pub fn execute_unit(spec: &SweepSpec, unit: &SweepUnit) -> Result<RunRecord, Swe
                 corrupt_mapping_states,
             );
             let ok = named.result.outcome.terminated()
-                && mapping_recovered(&network, &named.result.states);
-            Ok(distil(unit, &named, ok))
+                && mapping_recovered(network, &named.result.states);
+            distil(unit, &named, ok)
         }
         ProtocolSpec::Labeling => {
             let protocol = Labeling::new();
             let named = run_scenario_cell(
-                &network,
+                network,
                 &protocol,
                 config,
                 spec,
@@ -91,13 +118,13 @@ pub fn execute_unit(spec: &SweepSpec, unit: &SweepUnit) -> Result<RunRecord, Swe
                 corrupt_labeling_states,
             );
             let ok = named.result.outcome.terminated()
-                && labeling_recovered(&network, &named.result.states);
-            Ok(distil(unit, &named, ok))
+                && labeling_recovered(network, &named.result.states);
+            distil(unit, &named, ok)
         }
         ProtocolSpec::GeneralBroadcast { payload_bits } => {
             let protocol = GeneralBroadcast::new(Payload::synthetic(*payload_bits));
             let named = run_scenario_cell(
-                &network,
+                network,
                 &protocol,
                 config,
                 spec,
@@ -105,8 +132,8 @@ pub fn execute_unit(spec: &SweepSpec, unit: &SweepUnit) -> Result<RunRecord, Swe
                 corrupt_general_states,
             );
             let ok = named.result.outcome.terminated()
-                && general_recovered(&network, &named.result.states);
-            Ok(distil(unit, &named, ok))
+                && general_recovered(network, &named.result.states);
+            distil(unit, &named, ok)
         }
     }
 }
@@ -210,11 +237,7 @@ fn distil<S, M>(unit: &SweepUnit, named: &NamedRun<S, M>, ok: bool) -> RunRecord
         dropped: result.metrics.messages_dropped,
         duplicated: result.metrics.messages_duplicated,
         crashed: result.metrics.crashed_deliveries,
-        trace_digest: result
-            .trace
-            .as_ref()
-            .expect("sweep runs always record traces")
-            .digest(),
+        trace_digest: result.metrics.trace_digest(),
     }
 }
 

@@ -29,12 +29,14 @@
 //! 3. **Execute** ([`exec`]) — [`execute_unit`] rebuilds the unit's network,
 //!    runs one cell of the standard battery
 //!    ([`anet_sim::runner::run_battery_cell`], wrapped in the unit's fault
-//!    plan or corrupted start when the scenario is adversarial) with trace
-//!    recording, applies the protocol's success *and recovery* checks, and
-//!    emits a canonical JSONL [`RunRecord`] (outcome — including `starved`
-//!    for fault-killed quiescence — metrics, wire-bit totals, adversary
-//!    counters and the stable [`anet_sim::trace::Trace::digest`]). Records are
-//!    pure functions of their units: any process, any time, same bytes.
+//!    plan or corrupted start when the scenario is adversarial), applies the
+//!    protocol's success *and recovery* checks, and emits a canonical JSONL
+//!    [`RunRecord`] (outcome — including `starved` for fault-killed
+//!    quiescence — metrics, wire-bit totals, adversary counters and the
+//!    stable trace digest, streamed by the engine as
+//!    [`anet_sim::metrics::RunMetrics::trace_digest`] without recording the
+//!    trace). Records are pure functions of their units: any process, any
+//!    time, same bytes.
 //! 4. **Checkpoint & resume** ([`merge`]) — a shard's JSONL file is its
 //!    checkpoint: a spec-fingerprint header line followed by record lines.
 //!    [`run_shard_to_file`] with `resume` requires the header to match the

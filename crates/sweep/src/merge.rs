@@ -33,14 +33,16 @@
 //! every unit on its canonical network, the written file — and therefore the
 //! merged output — is byte-identical whether dedup is on or off.
 
-use std::collections::HashMap;
+use std::collections::{btree_map, BTreeMap, HashMap};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use anet_graph::Network;
+
 use crate::cache::{CachePayload, ResultCache};
-use crate::dedup::{cluster_units, DedupStats};
-use crate::exec::execute_unit;
+use crate::dedup::{cluster_with_forms, DedupStats};
+use crate::exec::{execute_on, execute_unit};
 use crate::manifest::{Manifest, Partition, SweepUnit};
 use crate::record::RunRecord;
 use crate::spec::SweepSpec;
@@ -90,7 +92,8 @@ pub type ShardLines = Vec<(usize, String)>;
 ///
 /// # Errors
 ///
-/// Propagates [`execute_unit`] failures.
+/// Returns [`SweepError::Spec`] if `spec` fails [`SweepSpec::validate`], and
+/// propagates [`execute_unit`] failures.
 pub fn shard_lines(
     spec: &SweepSpec,
     manifest: &Manifest,
@@ -98,6 +101,7 @@ pub fn shard_lines(
     partition: Partition,
     shard: usize,
 ) -> Result<ShardLines, SweepError> {
+    spec.validate()?;
     manifest
         .shard_units(shards, partition, shard)
         .into_iter()
@@ -204,22 +208,27 @@ pub fn run_shard_to_file_with_jobs(
         .map(|report| report.outcome)
 }
 
-/// Executes `(tag, unit)` tasks, fanning over `jobs` scoped worker threads
-/// when `jobs > 1`, and returns `(tag, record)` pairs (in worker-stripe
-/// order — callers address results by tag, never by position). This is the
-/// single execution engine behind both the honest and the dedup shard paths.
-fn execute_tagged(
-    spec: &SweepSpec,
+/// Executes `(tag, unit)` tasks through `run`, fanning over `jobs` scoped
+/// worker threads when `jobs > 1`, and returns `(tag, record)` pairs (in
+/// worker-stripe order — callers address results by tag, never by
+/// position). This is the single execution engine behind both the honest
+/// and the dedup shard paths.
+fn execute_tagged<F>(
     tasks: &[(usize, &SweepUnit)],
     jobs: usize,
-) -> Result<Vec<(usize, RunRecord)>, SweepError> {
+    run: F,
+) -> Result<Vec<(usize, RunRecord)>, SweepError>
+where
+    F: Fn(&SweepUnit) -> Result<RunRecord, SweepError> + Sync,
+{
     if jobs <= 1 || tasks.len() <= 1 {
         return tasks
             .iter()
-            .map(|&(tag, unit)| execute_unit(spec, unit).map(|record| (tag, record)))
+            .map(|&(tag, unit)| run(unit).map(|record| (tag, record)))
             .collect();
     }
     let workers = jobs.min(tasks.len());
+    let run = &run;
     let worker_results: Vec<Result<Vec<(usize, RunRecord)>, SweepError>> =
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
@@ -229,9 +238,7 @@ fn execute_tagged(
                             .iter()
                             .skip(worker)
                             .step_by(workers)
-                            .map(|&(tag, unit)| {
-                                execute_unit(spec, unit).map(|record| (tag, record))
-                            })
+                            .map(|&(tag, unit)| run(unit).map(|record| (tag, record)))
                             .collect()
                     })
                 })
@@ -259,6 +266,11 @@ fn execute_tagged(
 /// The lines are byte-identical to honest per-unit execution — the executor
 /// runs every unit on its canonical network, so members of a class cannot
 /// differ (the property the differential tests pin).
+///
+/// Clustering already built and canonicalized each distinct topology once,
+/// so each topology a representative runs on becomes one canonical network,
+/// shared by all of the batch's representatives on it (and by the worker
+/// threads) through [`execute_on`].
 fn execute_tagged_dedup(
     spec: &SweepSpec,
     pending: &[(usize, &SweepUnit)],
@@ -266,7 +278,7 @@ fn execute_tagged_dedup(
     cache_dir: Option<&Path>,
 ) -> Result<(Vec<(usize, String)>, DedupStats), SweepError> {
     let unit_refs: Vec<&SweepUnit> = pending.iter().map(|&(_, unit)| unit).collect();
-    let clusters = cluster_units(spec, &unit_refs)?;
+    let (clusters, forms) = cluster_with_forms(spec, &unit_refs)?;
     let cache = match cache_dir {
         Some(dir) => Some(ResultCache::new(dir).map_err(SweepError::Io)?),
         None => None,
@@ -293,10 +305,20 @@ fn execute_tagged_dedup(
         to_run.push((position, representative));
     }
 
-    // Execution pass: representatives of unresolved clusters only.
+    // Execution pass: representatives of unresolved clusters only, each on
+    // its topology's one canonical network.
     stats.representatives_run = to_run.len();
     stats.members_by_reference = pending.len() - to_run.len();
-    for (position, record) in execute_tagged(spec, &to_run, jobs)? {
+    let mut networks: BTreeMap<String, Network> = BTreeMap::new();
+    for &(_, unit) in &to_run {
+        if let btree_map::Entry::Vacant(slot) = networks.entry(unit.topology.name()) {
+            let network = forms[slot.key()].to_network();
+            slot.insert(network.map_err(SweepError::Topology)?);
+        }
+    }
+    drop(forms);
+    let run = |unit: &SweepUnit| Ok(execute_on(spec, unit, &networks[&unit.topology.name()]));
+    for (position, record) in execute_tagged(&to_run, jobs, run)? {
         if let Some(cache) = &cache {
             cache
                 .store(
@@ -328,8 +350,9 @@ fn execute_tagged_dedup(
 ///
 /// # Errors
 ///
-/// Returns I/O errors from the file system (including the cache directory)
-/// and [`execute_unit`] failures.
+/// Returns [`SweepError::Spec`] before touching the file system if `spec`
+/// fails [`SweepSpec::validate`], I/O errors from the file system (including
+/// the cache directory) and [`execute_unit`] failures.
 ///
 /// # Panics
 ///
@@ -344,6 +367,7 @@ pub fn run_shard_to_file_with_opts(
     path: &Path,
     opts: &SweepOptions,
 ) -> Result<ShardReport, SweepError> {
+    spec.validate()?;
     let units = manifest.shard_units(shards, partition, shard);
     let indices: Vec<usize> = units.iter().map(|u| u.index).collect();
     let checkpoint = if opts.resume {
@@ -386,7 +410,8 @@ pub fn run_shard_to_file_with_opts(
         }
         Some(stats)
     } else {
-        for (slot, record) in execute_tagged(spec, &pending, opts.jobs)? {
+        for (slot, record) in execute_tagged(&pending, opts.jobs, |unit| execute_unit(spec, unit))?
+        {
             slots[slot] = Some(record.to_jsonl_line());
         }
         None
@@ -420,7 +445,8 @@ pub fn run_shard_to_file_with_opts(
 ///
 /// # Errors
 ///
-/// Propagates execution, cache-I/O and clustering failures.
+/// Returns [`SweepError::Spec`] if `spec` fails [`SweepSpec::validate`], and
+/// propagates execution, cache-I/O and clustering failures.
 pub fn dedup_shard_lines(
     spec: &SweepSpec,
     manifest: &Manifest,
@@ -429,6 +455,7 @@ pub fn dedup_shard_lines(
     shard: usize,
     cache_dir: Option<&Path>,
 ) -> Result<(ShardLines, DedupStats), SweepError> {
+    spec.validate()?;
     let units = manifest.shard_units(shards, partition, shard);
     let pending: Vec<(usize, &SweepUnit)> = units.iter().map(|&u| (u.index, u)).collect();
     let (mut lines, stats) = execute_tagged_dedup(spec, &pending, 1, cache_dir)?;
@@ -614,6 +641,62 @@ mod tests {
         assert!(dup.to_string().contains("more than one"), "{dup}");
         let range = merge_lines(1, vec![vec![(7, "x".to_owned())]]).unwrap_err();
         assert!(range.to_string().contains("out of range"), "{range}");
+    }
+
+    #[test]
+    fn code_built_specs_are_validated_before_any_shard_file_is_written() {
+        // path 3 has 5 vertices, so crash target 99 would crash nothing.
+        let mut crash = tiny_spec();
+        crash.topologies = vec![TopologySpec::Path { n: 3 }];
+        crash.scenarios.push(crate::ScenarioSpec::Faulty {
+            drop_pct: 0,
+            dup_pct: 0,
+            reorder: 0,
+            seed: 0,
+            retry: 0,
+            crashes: vec![(99, 0, 5)],
+        });
+        let mut degenerate = tiny_spec();
+        degenerate.topologies.push(TopologySpec::ChainGn { n: 0 });
+        let dir = std::env::temp_dir().join(format!("anet-sweep-validate-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        for (spec, needle) in [
+            (
+                crash,
+                "crash target 99 is out of range for topology path/3 (5 vertices)",
+            ),
+            (
+                degenerate,
+                "topology chain-gn/0: invalid generator parameter",
+            ),
+        ] {
+            let manifest = Manifest::from_spec(&spec);
+            let opts = SweepOptions {
+                jobs: 1,
+                resume: false,
+                dedup: true,
+                cache_dir: Some(dir.join("cache")),
+            };
+            let errors = [
+                shard_lines(&spec, &manifest, 1, Partition::Hash, 0).unwrap_err(),
+                dedup_shard_lines(&spec, &manifest, 1, Partition::Hash, 0, None).unwrap_err(),
+                run_shard_to_file_with_opts(
+                    &spec,
+                    &manifest,
+                    1,
+                    Partition::Hash,
+                    0,
+                    &dir.join("shard-0.jsonl"),
+                    &opts,
+                )
+                .unwrap_err(),
+            ];
+            for err in errors {
+                assert!(matches!(err, SweepError::Spec(_)), "{err}");
+                assert!(err.to_string().contains(needle), "{err}");
+            }
+            assert!(!dir.exists(), "a rejected spec created {}", dir.display());
+        }
     }
 
     #[test]

@@ -61,7 +61,8 @@ pub struct RunRecord {
     pub duplicated: u64,
     /// Messages consumed by crashed vertices.
     pub crashed: u64,
-    /// [`anet_sim::trace::Trace::digest`] of the run, in fixed-width hex.
+    /// [`anet_sim::trace::Trace::digest`] of the run, in fixed-width hex (read
+    /// from [`anet_sim::metrics::RunMetrics::trace_digest`], which equals it).
     pub trace_digest: u64,
 }
 

@@ -745,11 +745,83 @@ pub struct SweepSpec {
     pub scenarios: Vec<ScenarioSpec>,
 }
 
+/// The spec entry a [`SweepSpec::validate`] rule failed on, so that
+/// [`SweepSpec::parse`] can name its line.
+enum Culprit {
+    /// The whole spec (an empty list): no line to name.
+    Spec,
+    /// `topologies[i]`.
+    Topology(usize),
+    /// `scenarios[i]`.
+    Scenario(usize),
+}
+
 impl SweepSpec {
+    /// Checks the rules a spec must satisfy beyond its syntax: at least one
+    /// protocol, topology and seed; generator parameters every topology can
+    /// be built from ([`TopologySpec::validate`]); and crash targets that
+    /// name a vertex of every topology — a crash window applies to every
+    /// topology, and anywhere else it would silently crash nothing.
+    ///
+    /// [`SweepSpec::parse`] applies the same rules, with line numbers, and
+    /// the shard entry points ([`shard_lines`](crate::shard_lines),
+    /// [`dedup_shard_lines`](crate::dedup_shard_lines),
+    /// [`run_shard_to_file_with_opts`](crate::run_shard_to_file_with_opts))
+    /// call this first, so a spec built in code is held to them too.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SweepError::Spec`] naming the first rule broken.
+    pub fn validate(&self) -> Result<(), SweepError> {
+        self.check().map_err(|(_, msg)| SweepError::Spec(msg))
+    }
+
+    fn check(&self) -> Result<(), (Culprit, String)> {
+        for (empty, what) in [
+            (self.protocols.is_empty(), "protocols"),
+            (self.topologies.is_empty(), "topologies"),
+            (self.seeds.is_empty(), "seeds"),
+        ] {
+            if empty {
+                return Err((Culprit::Spec, format!("spec declares no {what}")));
+            }
+        }
+        let mut nodes = Vec::with_capacity(self.topologies.len());
+        for (i, topology) in self.topologies.iter().enumerate() {
+            let count = topology.validate().map_err(|err| {
+                let msg = format!("topology {}: {err}", topology.name());
+                (Culprit::Topology(i), msg)
+            })?;
+            nodes.push(count);
+        }
+        for (i, scenario) in self.scenarios.iter().enumerate() {
+            let ScenarioSpec::Faulty { crashes, .. } = scenario else {
+                continue;
+            };
+            for &(node, _, _) in crashes {
+                let out_of_range = self
+                    .topologies
+                    .iter()
+                    .zip(&nodes)
+                    .find(|&(_, &n)| node >= n);
+                if let Some((topology, n)) = out_of_range {
+                    let msg = format!(
+                        "crash target {node} is out of range for topology {} ({n} vertices)",
+                        topology.name()
+                    );
+                    return Err((Culprit::Scenario(i), msg));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Parses the canonical line-oriented text form. Empty lines and `#`
     /// comments are ignored; later `seeds`/`random-schedulers`/
     /// `max-deliveries` lines override earlier ones; `protocol`/`topology`
-    /// lines accumulate in order.
+    /// lines accumulate in order. The parsed spec must pass
+    /// [`SweepSpec::validate`]; a rule broken by one line is reported with
+    /// that line's number.
     pub fn parse(text: &str) -> Result<SweepSpec, SweepError> {
         let mut spec = SweepSpec {
             protocols: Vec::new(),
@@ -759,8 +831,10 @@ impl SweepSpec {
             max_deliveries: 10_000_000,
             scenarios: vec![ScenarioSpec::Pristine],
         };
-        // The line of each `faults` scenario, in order, for the crash check.
-        let mut crash_lines: Vec<usize> = Vec::new();
+        // The line of each topology and of each scenario after the pristine
+        // one, for the messages of `check`.
+        let mut topology_lines: Vec<usize> = Vec::new();
+        let mut scenario_lines: Vec<usize> = Vec::new();
         for (i, raw) in text.lines().enumerate() {
             let line_no = i + 1;
             let line = raw.split('#').next().unwrap_or("").trim();
@@ -774,14 +848,9 @@ impl SweepSpec {
                         .push(ProtocolSpec::parse_args(rest, line_no)?);
                 }
                 ["topology", rest @ ..] => {
-                    let topology = TopologySpec::parse_args(rest, line_no)?;
-                    topology.validate().map_err(|err| {
-                        SweepError::Spec(format!(
-                            "line {line_no}: topology {}: {err}",
-                            topology.name()
-                        ))
-                    })?;
-                    spec.topologies.push(topology);
+                    spec.topologies
+                        .push(TopologySpec::parse_args(rest, line_no)?);
+                    topology_lines.push(line_no);
                 }
                 ["seeds", rest @ ..] if !rest.is_empty() => {
                     spec.seeds = parse_seeds(rest, line_no)?;
@@ -794,17 +863,18 @@ impl SweepSpec {
                 }
                 ["faults", "ramp", rest @ ..] => {
                     let ramp = ScenarioSpec::parse_ramp(rest, line_no)?;
-                    crash_lines.extend(ramp.iter().map(|_| line_no));
+                    scenario_lines.extend(ramp.iter().map(|_| line_no));
                     spec.scenarios.extend(ramp);
                 }
                 ["faults", rest @ ..] => {
                     spec.scenarios
                         .push(ScenarioSpec::parse_faults(rest, line_no)?);
-                    crash_lines.push(line_no);
+                    scenario_lines.push(line_no);
                 }
                 ["corrupt", rest @ ..] => {
                     spec.scenarios
                         .push(ScenarioSpec::parse_corrupt(rest, line_no)?);
+                    scenario_lines.push(line_no);
                 }
                 _ => {
                     return Err(SweepError::Spec(format!(
@@ -813,35 +883,14 @@ impl SweepSpec {
                 }
             }
         }
-        if spec.protocols.is_empty() {
-            return Err(SweepError::Spec("spec declares no protocols".to_owned()));
-        }
-        if spec.topologies.is_empty() {
-            return Err(SweepError::Spec("spec declares no topologies".to_owned()));
-        }
-        if spec.seeds.is_empty() {
-            return Err(SweepError::Spec("spec declares no seeds".to_owned()));
-        }
-        // Every crash window applies to every topology, so a target must name
-        // a vertex of each: anywhere else it would silently crash nothing.
-        let crash_sets = spec.scenarios.iter().filter_map(|s| match s {
-            ScenarioSpec::Faulty { crashes, .. } => Some(crashes),
-            _ => None,
-        });
-        for (crashes, line_no) in crash_sets.zip(crash_lines) {
-            for &(node, _, _) in crashes {
-                let out_of_range = spec.topologies.iter().find_map(|topology| {
-                    let nodes = topology.validate().ok()?;
-                    (node >= nodes).then_some((topology, nodes))
-                });
-                if let Some((topology, nodes)) = out_of_range {
-                    return Err(SweepError::Spec(format!(
-                        "line {line_no}: crash target {node} is out of range for topology {} ({nodes} vertices)",
-                        topology.name()
-                    )));
-                }
-            }
-        }
+        spec.check().map_err(|(culprit, msg)| {
+            SweepError::Spec(match culprit {
+                Culprit::Spec => msg,
+                Culprit::Topology(i) => format!("line {}: {msg}", topology_lines[i]),
+                // `scenarios[0]` is the implicit pristine scenario.
+                Culprit::Scenario(i) => format!("line {}: {msg}", scenario_lines[i - 1]),
+            })
+        })?;
         Ok(spec)
     }
 

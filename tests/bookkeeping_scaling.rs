@@ -1,16 +1,30 @@
-//! Clock-free scaling guard for a sweep unit's bookkeeping: canonicalization
-//! and the labelling success check at ~10⁵ vertices and label parts.
+//! Clock-free scaling guard for a sweep unit's bookkeeping: building a random
+//! grounded tree, canonicalization and the labelling success check at ~10⁵
+//! vertices and label parts.
 //!
-//! Both steps were once quadratic. At this size the quadratic versions run
+//! All three steps were once quadratic. At this size the quadratic versions run
 //! for minutes, while the near-linear ones finish in seconds even in a debug
 //! build. A regression therefore shows up as a test that does not finish,
 //! without any wall-clock assertion.
 
 use anet::graph::canon::canonical_form;
-use anet::graph::generators::{full_grounded_tree, path_network};
+use anet::graph::classify;
+use anet::graph::generators::{full_grounded_tree, path_network, random_grounded_tree};
 use anet::num::partition::canonical_partition;
 use anet::num::{Interval, IntervalUnion};
 use anet::protocols::labeling::labels_unique;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+#[test]
+fn random_grounded_tree_builds_a_hundred_thousand_vertices() {
+    let internal = 100_000;
+    let mut rng = StdRng::seed_from_u64(2007);
+    let network = random_grounded_tree(&mut rng, internal, 4, 0.1).unwrap();
+    assert_eq!(network.internal_count(), internal);
+    assert!(classify::is_grounded_tree(&network));
+    assert!(network.max_out_degree() <= 4);
+}
 
 #[test]
 fn canonical_form_is_idempotent_on_a_tree_of_a_hundred_thousand_vertices() {
